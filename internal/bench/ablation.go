@@ -18,9 +18,11 @@ import (
 //	                      internal lock even when uncontended;
 //	A5 mechanism v1     — unpadded counters: every counter RMW holds its
 //	                      shared cache line, modeled as 16 counters per
-//	                      line (64B line / 4B counter). The real-execution
-//	                      side of A5 (broadcast wakeups, O(modes) scans)
-//	                      is measured by `benchall -exp lockmech`.
+//	                      line (64B line / 4B counter).
+//
+// A4 and A5 exist only in this cost model: the runtime's Semantic has a
+// single mechanism generation with no switches to turn the fast path or
+// the padded layout off.
 func AblationSim(cfg SimConfig) *Figure {
 	const keySpace = 1 << 17
 	fig := &Figure{
@@ -81,8 +83,8 @@ func AblationSim(cfg SimConfig) *Figure {
 				steps = append(steps, sim.W(semOverhead))
 				if len(mechs) > 0 {
 					// Contiguous bucket ranges share a mechanism resource (for
-				// mechv1, the 16 counters of one cache line).
-				m := mechs[b*len(mechs)/v.buckets]
+					// mechv1, the 16 counters of one cache line).
+					m := mechs[b*len(mechs)/v.buckets]
 					steps = append(steps, sim.Acq(m, 0), sim.W(v.mechHold), sim.Rel(m, 0))
 				}
 				steps = append(steps, sim.Acq(stripes, b), sim.W(opCost))

@@ -102,3 +102,14 @@ func sortedKeys[V any](m map[int]V) []int {
 	sort.Ints(ks)
 	return ks
 }
+
+// sortedStringKeys returns m's keys in lexical order, so reports print
+// their criteria deterministically.
+func sortedStringKeys(m map[string]float64) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}

@@ -66,8 +66,8 @@ import (
 //	                    Watchdog (which turns on the per-waiter
 //	                    time.Now sample the sampler reads).
 //
-// Cells follow the lockmech conventions: variants alternate pass by
-// pass so host drift hits both sides of every comparison, a warm-up
+// Cells follow the conventions every real-execution experiment here
+// shares: variants alternate pass by pass so host drift hits both sides of every comparison, a warm-up
 // pass absorbs first-touch noise, and of the measured passes the best
 // is kept.
 type HotpathConfig struct {
@@ -126,9 +126,10 @@ const (
 	hotpathFused = "fused"      // app policy "ours-fused"
 	hotpathSeq   = "sequential" // app policy "ours"
 
-	// hotpathReps measured passes per cell; the best one is kept (see
-	// lockmechReps for why the extremum beats the mean on small hosts).
-	// App cells get extra passes — whole-application passes carry more
+	// hotpathReps measured passes per cell; the best one is kept:
+	// single-pass cells at T=1 are dominated by scheduler and frequency
+	// noise on small hosts, which the extremum removes and the mean
+	// does not. App cells get extra passes — whole-application passes carry more
 	// scheduler and GC noise than the tight core loops.
 	hotpathReps    = 3
 	hotpathAppReps = 5
@@ -287,8 +288,8 @@ func runBatchCell(workload, variant string, threads, totalOps int) HotpathBatchC
 }
 
 // runWatchdogCell times the contended acquire/release cycle of one
-// self-conflicting mode held across a yield (the lockmech all-conflict
-// shape, where every acquisition blocks and registers a waiter), with
+// self-conflicting mode held across a yield (pure blocking churn, where
+// every acquisition blocks and registers a waiter), with
 // the instance either unwatched or registered with a Watchdog.
 func runWatchdogCell(watched bool, threads, totalOps int) HotpathWatchdogCell {
 	tbl, ref := hotpathTable()

@@ -39,7 +39,7 @@ import (
 //
 // sweeping the read fraction over {0.5, 0.9, 0.99}. Writes are the
 // complement of the fraction; both variants run the identical op
-// sequence. Cells follow the lockmech conventions: variants alternate
+// sequence. Cells follow the hotpath conventions: variants alternate
 // pass by pass, a warm-up pass absorbs first-touch noise, the best
 // measured pass is kept.
 type OptimisticConfig struct {

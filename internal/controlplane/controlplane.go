@@ -144,8 +144,8 @@ const (
 	// resolves the gray zone locally.
 	gateHostileAt  = 0.85 // validation-failure share where optimism is hopeless
 	gateFriendlyAt = 0.55 // failure share below which optimism still amortizes
-	summaryOnAt     = 0.10 // conflict share where summary-guided scans amortize
-	summaryOffAt    = 0.01 // conflict share where exact scans win back
+	summaryOnAt    = 0.10 // conflict share where summary-guided scans amortize
+	summaryOffAt   = 0.01 // conflict share where exact scans win back
 )
 
 // Spin regimes. "calm" is the untuned default; "contended" spins longer

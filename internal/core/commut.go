@@ -70,15 +70,11 @@ type ModeTable struct {
 	// exact scan would touch many padded counter lines. Small
 	// fine-grained mechanisms — the common case after partitioning —
 	// skip summaries entirely and scan exactly, keeping the uncontended
-	// fast path at one RMW, the same as the v1 mechanism.
+	// fast path at one RMW.
 	summaryOn []bool
-	// conflict[m] lists the (local) counter slots mode m conflicts with
-	// inside its own mechanism, with the count threshold above which the
-	// slot blocks m (1 for m's own slot, 0 otherwise). The v1 mechanism
-	// (ablation A5) scans these directly; the v2 mechanism scans the
-	// word-bitset form in masks[m].
-	conflict [][]conflictRef
-	masks    []maskInfo
+	// masks[m] is mode m's precompiled conflict-scan structure inside
+	// its own mechanism.
+	masks []maskInfo
 }
 
 type conflictRef struct {
@@ -94,19 +90,21 @@ type wordMask struct {
 	bits uint64
 }
 
-// maskInfo is the precompiled conflict-scan structure of one mode for
-// the v2 lock mechanism: the sparse word bitset of conflicting slots
-// (only words with at least one conflicting slot appear) and the mode's
-// own counter slot, whose threshold is 1 instead of 0 because the
-// scanner has already incremented it (Fig 20's increment-then-scan).
+// maskInfo is the precompiled conflict-scan structure of one mode: the
+// sparse word bitset of conflicting slots (only words with at least one
+// conflicting slot appear) and the mode's own counter slot, whose
+// threshold is 1 instead of 0 because the scanner has already
+// incremented it (Fig 20's increment-then-scan).
 type maskInfo struct {
 	words    []wordMask
 	selfSlot int32
 	selfWord int32
-	// refs is the flat slot list (shared with ModeTable.conflict) that
-	// mechanisms with summaries off scan directly: for the few slots of a
-	// small fine-grained mechanism the threshold-baked linear walk is
-	// cheaper than iterating the bitset words.
+	// refs is the flat list of conflicting slots, each with the count
+	// threshold above which it blocks the mode (1 for the mode's own
+	// slot, 0 otherwise). Mechanisms with summaries off scan it
+	// directly: for the few slots of a small fine-grained mechanism the
+	// threshold-baked linear walk is cheaper than iterating the bitset
+	// words.
 	refs []conflictRef
 	// bump marks modes whose successful acquisition must advance the
 	// mechanism's version counter (the optimistic-read invalidation
@@ -293,7 +291,7 @@ func (t *ModeTable) partition(disabled bool) {
 	}
 
 	// Conflict lists in local slot space, deduplicated per slot.
-	t.conflict = make([][]conflictRef, n)
+	conflict := make([][]conflictRef, n)
 	for i := 0; i < n; i++ {
 		if t.part[i] < 0 {
 			continue
@@ -312,22 +310,22 @@ func (t *ModeTable) partition(disabled bool) {
 			if slot == t.localIdx[i] {
 				ref.threshold = 1 // my own increment doesn't block me
 			}
-			t.conflict[i] = append(t.conflict[i], ref)
+			conflict[i] = append(conflict[i], ref)
 		}
 	}
 
-	// Word-bitset form of the same conflict lists for the v2 mechanism:
-	// the O(conflicting modes) ref list becomes O(occupied words) of
-	// summary checks on the common path.
+	// Word-bitset form of the same conflict lists: the O(conflicting
+	// modes) ref list becomes O(occupied words) of summary checks on the
+	// common path.
 	t.masks = make([]maskInfo, n)
 	for i := 0; i < n; i++ {
 		if t.part[i] < 0 {
 			continue
 		}
 		self := int32(t.localIdx[i])
-		mi := maskInfo{selfSlot: self, selfWord: self >> 6, refs: t.conflict[i], bump: len(t.conflict[i]) > 0}
+		mi := maskInfo{selfSlot: self, selfWord: self >> 6, refs: conflict[i], bump: len(conflict[i]) > 0}
 		byWord := make(map[int32]uint64)
-		for _, ref := range t.conflict[i] {
+		for _, ref := range conflict[i] {
 			byWord[int32(ref.slot)>>6] |= 1 << (uint(ref.slot) & 63)
 		}
 		for w, bits := range byWord {

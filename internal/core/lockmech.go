@@ -42,8 +42,7 @@ type LockStats struct {
 	// a completed body and forcing the section to re-run through the
 	// pessimistic prologue. OptimisticRefusals counts observations
 	// turned away before any body ran: a conflicting holder was visible
-	// at Observe time, or the mechanism cannot validate at all (v1, no
-	// version counters). A refusal wastes no work, so it is deliberately
+	// at Observe time. A refusal wastes no work, so it is deliberately
 	// NOT a retry and does not feed the adaptive gate — counting it as a
 	// failure would let the pessimistic fallback a gate closure triggers
 	// keep the gate closed (every fallback holder refuses the optimists
@@ -74,28 +73,9 @@ var waitSampling atomic.Bool
 // own transaction because transactions never lock the same instance
 // twice (LOCAL_SET, §3.1).
 //
-// Two mechanism generations coexist: v2 (cache-line-padded counters,
-// word-summary conflict scan, targeted wakeups, adaptive fast-path
-// retries) is the default; the original Fig 20 mechanism (shared-line
-// counters, O(conflicting modes) scan, broadcast wakeups) remains
-// available behind DisableMechV2 as ablation A5.
+// Each mechanism is a mechV2: cache-line-padded counters, word-summary
+// conflict scan, targeted wakeups and adaptive fast-path retries.
 type Semantic struct {
-	table *ModeTable
-	mechs []mechV2
-	v1    []mechanism
-	id    uint64
-
-	// DisableFastPath forces every acquisition through the internal
-	// lock, skipping the optimistic counter scan of Fig 20 lines 3–4 —
-	// ablation A4.
-	DisableFastPath bool
-	// DisableMechV2 routes acquisitions through the original Fig 20
-	// mechanism — ablation A5. Set it before the first Acquire (the two
-	// generations keep separate counters). The v1 mechanism has no
-	// version counters, so optimistic observation reports not-ok and
-	// every TryOptimistic on the instance falls back pessimistically.
-	DisableMechV2 bool
-
 	// Optimistic-read outcome counters and the adaptive gate
 	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
 	// validation outcomes reported in LockStats; the three gate cells
@@ -111,6 +91,15 @@ type Semantic struct {
 	optWinFail  padded.Uint64
 	optWinTotal padded.Uint64
 	optParams   padded.Uint64 // packed OptGateParams (window, num, den, probe)
+
+	// The read-only fields come after the padded counters: a padded
+	// cell's value sits at the start of its cache line, so placed first
+	// these fields would share a line with optHits, and every optimistic
+	// hit would evict the table and mechanism pointers that all other
+	// cores' acquisitions read.
+	table *ModeTable
+	mechs []mechV2
+	id    uint64
 }
 
 // NewSemantic creates the semantic lock for one ADT instance of the class
@@ -119,12 +108,10 @@ func NewSemantic(table *ModeTable) *Semantic {
 	s := &Semantic{
 		table: table,
 		mechs: make([]mechV2, table.NumMechanisms()),
-		v1:    make([]mechanism, table.NumMechanisms()),
 		id:    instanceIDs.Add(1),
 	}
 	for i := range s.mechs {
 		s.mechs[i].init(table.partSizes[i], table.summaryOn[i])
-		s.v1[i].init(table.partSizes[i])
 	}
 	s.optParams.Store(packOptGate(DefaultOptGateParams()))
 	return s
@@ -138,49 +125,20 @@ func (s *Semantic) ID() uint64 { return s.id }
 
 // Acquire blocks until the transaction may hold mode m, then records one
 // holder of m. Callers use Txn.Lock rather than calling this directly.
-func (s *Semantic) Acquire(m ModeID) {
+func (s *Semantic) Acquire(m ModeID) { s.acquireLogged(m, nil) }
+
+// acquireLogged is Acquire carrying the acquirer's transaction log so a
+// blocked waiter exposes it to the stall watchdog. Txn.Lock routes here.
+func (s *Semantic) acquireLogged(m ModeID, log []Acquisition) {
 	p := s.table.part[m]
 	if p < 0 {
 		return // mode conflicts with nothing; no mechanism needed
-	}
-	if s.DisableMechV2 {
-		s.v1[p].acquire(s.table.localIdx[m], s.table.conflict[m], s.DisableFastPath)
-		return
 	}
 	// The successful first attempt — the overwhelmingly common case — is
 	// straight-lined here so it runs one call deep (tryAcquire); retries
 	// and blocking live in acquireContended.
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if s.DisableFastPath {
-		mech.slowAcquire(c, nil)
-		return
-	}
-	if mech.tryAcquire(c) {
-		mech.fastPath.Add(1)
-		return
-	}
-	mech.acquireContended(c, nil)
-}
-
-// acquireLogged is Acquire carrying the acquirer's transaction log so a
-// blocked waiter exposes it to the stall watchdog. Txn.Lock routes here;
-// the fast path is identical to Acquire's.
-func (s *Semantic) acquireLogged(m ModeID, log []Acquisition) {
-	p := s.table.part[m]
-	if p < 0 {
-		return
-	}
-	if s.DisableMechV2 {
-		s.v1[p].acquire(s.table.localIdx[m], s.table.conflict[m], s.DisableFastPath)
-		return
-	}
-	mech := &s.mechs[p]
-	c := &s.table.masks[m]
-	if s.DisableFastPath {
-		mech.slowAcquire(c, log)
-		return
-	}
 	if mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
 		return
@@ -195,9 +153,6 @@ func (s *Semantic) TryAcquire(m ModeID) bool {
 	if p < 0 {
 		return true
 	}
-	if s.DisableMechV2 {
-		return s.v1[p].tryAcquire(s.table.localIdx[m], s.table.conflict[m])
-	}
 	return s.mechs[p].tryAcquire(&s.table.masks[m])
 }
 
@@ -205,10 +160,6 @@ func (s *Semantic) TryAcquire(m ModeID) bool {
 func (s *Semantic) Release(m ModeID) {
 	p := s.table.part[m]
 	if p < 0 {
-		return
-	}
-	if s.DisableMechV2 {
-		s.v1[p].release(s.table.localIdx[m])
 		return
 	}
 	// Spelled out instead of calling retreat+wake: both inline here, so
@@ -254,15 +205,6 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 		s.acquireLogged(ms[0], log)
 		return
 	}
-	if s.DisableMechV2 {
-		// v1 (ablation A5) has no batch machinery; sequential
-		// acquisition is equivalent, just one waiter per mode on
-		// conflict.
-		for _, m := range ms {
-			s.acquireLogged(m, log)
-		}
-		return
-	}
 	// Single-mechanism batches — the shape fused prologues produce,
 	// since one instance's modes almost always share a partition — skip
 	// the grouping scratch. The optimistic pre-pass claims mode by mode
@@ -283,27 +225,23 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 	}
 	if samePart {
 		mech := &s.mechs[p0]
-		if !s.DisableFastPath {
-			k := 0
-			ok := true
-			for ; k < len(ms); k++ {
-				if !mech.tryAcquire(&s.table.masks[ms[k]]) {
-					ok = false
-					break
-				}
+		k := 0
+		for ; k < len(ms); k++ {
+			if !mech.tryAcquire(&s.table.masks[ms[k]]) {
+				break
 			}
-			if ok {
-				// One batched acquisition counts once (the documented
-				// LockStats contract), exactly as the tryAcquireBatch
-				// success path below counts once — not once per
-				// constituent mode.
-				mech.batches.Add(1)
-				mech.fastPath.Add(1)
-				return
-			}
-			for j := 0; j < k; j++ {
-				s.Release(ms[j])
-			}
+		}
+		if k == len(ms) {
+			// One batched acquisition counts once (the documented
+			// LockStats contract), exactly as the tryAcquireBatch
+			// success path below counts once — not once per
+			// constituent mode.
+			mech.batches.Add(1)
+			mech.fastPath.Add(1)
+			return
+		}
+		for j := 0; j < k; j++ {
+			s.Release(ms[j])
 		}
 		sc := batchScratchPool.Get().(*batchScratch)
 		sc.modes = append(sc.modes[:0], ms...)
@@ -342,40 +280,12 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 	batchScratchPool.Put(sc)
 }
 
-// acquireMechBatch assembles the batch scan structure for one
-// mechanism's group of modes and drives the fast/contended/slow
-// acquisition ladder, mirroring Acquire's shape.
+// acquireMechBatch drives the fast/contended/slow acquisition ladder
+// for one mechanism's group of modes, mirroring Acquire's shape.
 func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, log []Acquisition) {
 	mech := &s.mechs[p]
 	mech.batches.Add(1)
-	b := &sc.b
-	b.slots = b.slots[:0]
-	b.claims = b.claims[:0]
-	b.refs = b.refs[:0]
-	b.words = b.words[:0]
-	b.bump = false
-	for _, m := range sc.modes {
-		c := &s.table.masks[m]
-		b.slots = append(b.slots, c.selfSlot)
-		b.addClaim(c.selfSlot)
-		b.mergeWords(c.words)
-		b.bump = b.bump || c.bump
-		for _, r := range c.refs {
-			b.addRef(int32(r.slot))
-		}
-	}
-	// Bake the thresholds: a slot the batch itself claims k times blocks
-	// only past k holders. This generalizes the single-mode self-slot
-	// threshold of 1, and makes intra-batch conflicts self-permitting —
-	// they are one transaction's own modes, and the no-two-transactions
-	// invariant says nothing about modes held by the same transaction.
-	for i := range b.refs {
-		b.refs[i].threshold = b.ownClaims(int32(b.refs[i].slot))
-	}
-	if s.DisableFastPath {
-		mech.slowAcquireBatch(b, log)
-		return
-	}
+	b := sc.scan(s.table)
 	if mech.tryAcquireBatch(b) {
 		mech.fastPath.Add(1)
 		return
@@ -384,15 +294,15 @@ func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, log []Acquisition) 
 }
 
 // Stats returns the instance's cumulative acquisition statistics, summed
-// over both mechanism generations.
+// over its mechanisms.
 func (s *Semantic) Stats() LockStats {
 	var out LockStats
 	for i := range s.mechs {
-		out.FastPath += s.mechs[i].fastPath.Load() + s.v1[i].fastPath.Load()
-		out.Slow += s.mechs[i].slow.Load() + s.v1[i].slow.Load()
-		out.Waits += s.mechs[i].waits.Load() + s.v1[i].waits.Load()
+		out.FastPath += s.mechs[i].fastPath.Load()
+		out.Slow += s.mechs[i].slow.Load()
+		out.Waits += s.mechs[i].waits.Load()
 		out.Batches += s.mechs[i].batches.Load()
-		out.Stalls += s.mechs[i].stalls.Load() + s.v1[i].stalls.Load()
+		out.Stalls += s.mechs[i].stalls.Load()
 		out.WaitNanos += s.mechs[i].waitNanos.Load()
 	}
 	out.OptimisticHits = s.optHits.Load()
@@ -441,18 +351,14 @@ const (
 // claim and bump between the two, hold through our reads, and have its
 // bump absorbed into the snapshot — invisible to scan and compare
 // alike. A false result means a conflicting holder is visible right
-// now (the section would have blocked), or the instance runs the v1
-// mechanism (ablation A5), which has no version counters; the caller
-// falls back to the pessimistic prologue either way.
+// now (the section would have blocked); the caller falls back to the
+// pessimistic prologue.
 func (s *Semantic) observeMode(m ModeID) (uint64, bool) {
 	p := s.table.part[m]
 	if p < 0 {
 		// The mode conflicts with nothing: reads under it are always
 		// valid, nothing to snapshot or validate.
 		return 0, true
-	}
-	if s.DisableMechV2 {
-		return 0, false
 	}
 	mech := &s.mechs[p]
 	ver := mech.version.Load()
@@ -489,7 +395,7 @@ func (s *Semantic) validateMode(m ModeID, ver uint64) bool {
 // mechanism (test hook; 0 for conflict-free modes).
 func (s *Semantic) Version(m ModeID) uint64 {
 	p := s.table.part[m]
-	if p < 0 || s.DisableMechV2 {
+	if p < 0 {
 		return 0
 	}
 	return s.mechs[p].version.Load()
@@ -578,9 +484,6 @@ func (s *Semantic) Holders(m ModeID) int32 {
 	if p < 0 {
 		return 0
 	}
-	if s.DisableMechV2 {
-		return s.v1[p].counts[s.table.localIdx[m]].Load()
-	}
 	return s.mechs[p].counts[s.table.localIdx[m]].Load()
 }
 
@@ -614,7 +517,7 @@ func (s *Semantic) Holders(m ModeID) int32 {
 //     only a wide conflict mask (a wildcard mode) amortizes. The small
 //     fine-grained mechanisms that partitioning produces in the common
 //     case skip summaries and scan their few conflicting slots exactly,
-//     keeping the uncontended fast path at one RMW — v1 parity.
+//     keeping the uncontended fast path at one RMW.
 //
 //   - The Dekker argument is unchanged: an acquirer publishes its claim
 //     (summary, then counter) before scanning, so of two conflicting
@@ -911,8 +814,8 @@ func (m *mechV2) conflicts(c *maskInfo) bool {
 func (m *mechV2) tryAcquire(c *maskInfo) bool {
 	// The summary-less flavor is written out flat (claim, exact scan,
 	// retreat) rather than through claim/conflicts/retreat: the exact
-	// scan then inlines here, keeping the partitioned fast path at v1's
-	// instruction count (one call from acquire, no further calls).
+	// scan then inlines here, keeping the partitioned fast path one call
+	// deep from acquire, with no further calls.
 	// Keyed on the immutable maintenance decision, not the scan toggle,
 	// so the summary-less common case pays no atomic load here.
 	if !m.maintainSummary {
@@ -1349,6 +1252,35 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// scan assembles the batch scan structure of the gathered modes.
+func (sc *batchScratch) scan(t *ModeTable) *batchScan {
+	b := &sc.b
+	b.slots = b.slots[:0]
+	b.claims = b.claims[:0]
+	b.refs = b.refs[:0]
+	b.words = b.words[:0]
+	b.bump = false
+	for _, m := range sc.modes {
+		c := &t.masks[m]
+		b.slots = append(b.slots, c.selfSlot)
+		b.addClaim(c.selfSlot)
+		b.mergeWords(c.words)
+		b.bump = b.bump || c.bump
+		for _, r := range c.refs {
+			b.addRef(int32(r.slot))
+		}
+	}
+	// Bake the thresholds: a slot the batch itself claims k times blocks
+	// only past k holders. This generalizes the single-mode self-slot
+	// threshold of 1, and makes intra-batch conflicts self-permitting —
+	// they are one transaction's own modes, and the no-two-transactions
+	// invariant says nothing about modes held by the same transaction.
+	for i := range b.refs {
+		b.refs[i].threshold = b.ownClaims(int32(b.refs[i].slot))
+	}
+	return b
+}
+
 // tryAcquireBatch publishes every claim of the batch, then scans the
 // union conflict structure once. The Dekker argument is unchanged from
 // the single-mode protocol, applied per constituent: every claim is
@@ -1463,152 +1395,5 @@ func (m *mechV2) slowAcquireBatch(b *batchScan, log []Acquisition) {
 		m.mu.Unlock()
 		<-w.ch
 		m.mu.Lock()
-	}
-}
-
-// ---------------------------------------------------------------------
-// Lock mechanism v1 (ablation A5)
-// ---------------------------------------------------------------------
-
-// mechanism is the original lock mechanism (Fig 20 as first built): an
-// unpadded atomic counter per locking mode plus an internal lock whose
-// condition variable broadcasts to every waiter on release. The
-// acquisition protocol is increment-then-scan (Dekker style): a thread
-// first makes its own claim visible, then scans the conflicting
-// counters; under sequential consistency two conflicting acquirers
-// cannot both miss each other, so at most the false-conflict case (both
-// back off and retry serialized by the internal lock) occurs. Kept
-// verbatim behind Semantic.DisableMechV2 so ablation A5 can quantify
-// what the v2 layout, summary scan, and targeted wakeups buy.
-type mechanism struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiters atomic.Int32
-	counts  []atomic.Int32
-
-	fastPath atomic.Uint64
-	slow     atomic.Uint64
-	waits    atomic.Uint64
-	stalls   atomic.Uint64
-}
-
-func (m *mechanism) init(nModes int) {
-	m.counts = make([]atomic.Int32, nModes)
-	m.cond = sync.NewCond(&m.mu)
-}
-
-// conflicts reports whether any conflicting counter exceeds its
-// threshold. The caller must already have incremented its own counter
-// (thresholds account for that).
-func (m *mechanism) conflicts(conf []conflictRef) bool {
-	for _, c := range conf {
-		if m.counts[c.slot].Load() > c.threshold {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *mechanism) tryAcquire(slot int, conf []conflictRef) bool {
-	m.counts[slot].Add(1)
-	if !m.conflicts(conf) {
-		return true
-	}
-	m.counts[slot].Add(-1)
-	m.wakeWaiters()
-	return false
-}
-
-func (m *mechanism) acquire(slot int, conf []conflictRef, noFastPath bool) {
-	if !noFastPath {
-		// Fast path (Fig 20 lines 3–4, adapted): claim, scan, retreat on
-		// conflict. A couple of bounded retries absorb transient claims
-		// by other threads that are themselves about to retreat.
-		for attempt := 0; attempt < 2; attempt++ {
-			if m.tryAcquire(slot, conf) {
-				m.fastPath.Add(1)
-				return
-			}
-		}
-	}
-	// Slow path: serialize claim-and-scan through the internal lock and
-	// sleep on the condition variable while conflicts persist. waiters is
-	// raised before the scan so that a releaser's decrement-then-check
-	// either is seen by our scan or sees our waiter registration.
-	m.slow.Add(1)
-	m.mu.Lock()
-	m.waiters.Add(1)
-	for {
-		m.counts[slot].Add(1)
-		if !m.conflicts(conf) {
-			m.waiters.Add(-1)
-			m.mu.Unlock()
-			return
-		}
-		m.counts[slot].Add(-1)
-		m.waits.Add(1)
-		m.cond.Wait()
-	}
-}
-
-func (m *mechanism) release(slot int) {
-	m.counts[slot].Add(-1)
-	m.wakeWaiters()
-}
-
-// wakeWaiters broadcasts if any waiter might be blocked. The waiter
-// increments waiters before re-scanning under mu, and we load waiters
-// after our decrement, so either the waiter's scan sees the decrement or
-// this load sees the waiter — a lost wakeup is impossible.
-func (m *mechanism) wakeWaiters() {
-	if m.waiters.Load() > 0 {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
-
-// acquireWithin is the v1 bounded acquisition: a claim-scan-retreat poll
-// with exponential backoff until the deadline. The v1 mechanism's
-// broadcast condition variable has no per-waiter channel to arm a timer
-// on, so this ablation-only path polls instead of sleeping on the cond —
-// coarser than v2's timer-armed select, but it preserves the same
-// contract: acquired before the deadline, or a report of the conflicting
-// holder slots observed at the moment of giving up.
-func (m *mechanism) acquireWithin(slot int, conf []conflictRef, patience time.Duration, cancel <-chan struct{}) ([]stallSlot, acqOutcome) {
-	m.slow.Add(1)
-	deadline := time.Now().Add(patience)
-	backoff := 50 * time.Microsecond
-	for {
-		m.counts[slot].Add(1)
-		var out []stallSlot
-		for _, c := range conf {
-			if n := m.counts[c.slot].Load() - c.threshold; n > 0 {
-				out = append(out, stallSlot{slot: int32(c.slot), count: n})
-			}
-		}
-		if len(out) == 0 {
-			return nil, acqOK // the claim stands: acquired
-		}
-		m.counts[slot].Add(-1)
-		// Our transient claim may have bounced a concurrent scanner into
-		// the cond wait; the broadcast path is cheap when nobody waits.
-		m.wakeWaiters()
-		// The poll loop has no channel to select on, so cancellation is
-		// checked once per iteration — worst-case latency is one backoff
-		// step (≤1ms), acceptable for the ablation-only path.
-		select {
-		case <-cancel:
-			return nil, acqCanceled
-		default:
-		}
-		if !time.Now().Before(deadline) {
-			return out, acqStalled
-		}
-		m.waits.Add(1)
-		time.Sleep(backoff)
-		if backoff < time.Millisecond {
-			backoff *= 2
-		}
 	}
 }

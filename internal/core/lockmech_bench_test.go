@@ -3,14 +3,14 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // Microbenchmarks for the hot path of every atomic section: semantic
 // lock acquisition (fast path, slow path, wildcard conflict scan),
 // mechanism-level contention, and Txn bookkeeping. Run with
 // `go test -bench . ./internal/core`; CI smoke-runs them with
-// -benchtime 10x. The *V1 variants measure the pre-v2 mechanism
-// (ablation A5) for comparison.
+// -benchtime 10x.
 
 // benchTable mirrors mapTable for benchmarks (no *testing.T).
 func benchTable(n int) *ModeTable {
@@ -45,15 +45,19 @@ func BenchmarkSemanticAcquireFastPath(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAcquireFastPathV1(b *testing.B) {
+// BenchmarkSemanticAcquireWithinUncontended is the bounded acquisition
+// every resilience Policy section takes, uncontended: the fast path
+// succeeds, so no clock is read and no timer armed.
+func BenchmarkSemanticAcquireWithinUncontended(b *testing.B) {
 	tbl := benchTable(64)
 	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
 	m := benchKeyMode(tbl, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
+		if err := s.AcquireWithin(m, time.Second); err != nil {
+			b.Fatal(err)
+		}
 		s.Release(m)
 	}
 }
@@ -61,7 +65,7 @@ func BenchmarkSemanticAcquireFastPathV1(b *testing.B) {
 // BenchmarkSemanticAcquirePartitioned is the fast path of the common
 // case after partitioning: a fine-grained-only class (no wildcard), so
 // each key mode lives in its own small mechanism with summaries
-// statically off — one RMW per claim, v1 parity plus padding.
+// statically off — one RMW per claim.
 func BenchmarkSemanticAcquirePartitioned(b *testing.B) {
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	tbl := NewModeTable(mapSpec(), []SymSet{keySet}, TableOptions{Phi: NewPhi(64)})
@@ -75,23 +79,9 @@ func BenchmarkSemanticAcquirePartitioned(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAcquirePartitionedV1(b *testing.B) {
-	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
-	tbl := NewModeTable(mapSpec(), []SymSet{keySet}, TableOptions{Phi: NewPhi(64)})
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	m := tbl.Set(keySet).Mode(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
-		s.Release(m)
-	}
-}
-
 // BenchmarkSemanticAcquireWildcard acquires the size mode, whose
-// conflict list covers all 64 per-bucket put slots: the v1 mechanism
-// scans 64 counters per acquisition, v2 scans the word summaries.
+// conflict list covers all 64 per-bucket put slots: the mechanism
+// scans the word summaries instead of 64 counters per acquisition.
 func BenchmarkSemanticAcquireWildcard(b *testing.B) {
 	tbl := benchTable(64)
 	s := NewSemantic(tbl)
@@ -104,30 +94,16 @@ func BenchmarkSemanticAcquireWildcard(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAcquireWildcardV1(b *testing.B) {
-	tbl := benchTable(64)
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	m := benchSizeMode(tbl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
-		s.Release(m)
-	}
-}
-
-// BenchmarkSemanticAcquireSlowPath forces every acquisition through the
-// internal lock (ablation A4's configuration).
+// BenchmarkSemanticAcquireSlowPath drives every acquisition straight
+// into the mechanism's internal-lock slow path.
 func BenchmarkSemanticAcquireSlowPath(b *testing.B) {
 	tbl := benchTable(64)
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
 	m := benchKeyMode(tbl, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
+		slowAcquire(s, m)
 		s.Release(m)
 	}
 }
@@ -135,21 +111,16 @@ func BenchmarkSemanticAcquireSlowPath(b *testing.B) {
 // BenchmarkMechanismContended mixes self-conflicting same-bucket
 // acquisitions from parallel goroutines — the blocking/wakeup path.
 func BenchmarkMechanismContended(b *testing.B) {
-	for _, mech := range []string{"v2", "v1"} {
-		b.Run(mech, func(b *testing.B) {
-			tbl := benchTable(4)
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = mech == "v1"
-			m := benchKeyMode(tbl, 1)
-			b.SetParallelism(4)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					s.Acquire(m)
-					s.Release(m)
-				}
-			})
-		})
-	}
+	tbl := benchTable(4)
+	s := NewSemantic(tbl)
+	m := benchKeyMode(tbl, 1)
+	b.SetParallelism(4)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			s.Acquire(m)
+			s.Release(m)
+		}
+	})
 }
 
 // BenchmarkTxnLockUnlockAll is a whole-transaction lock cycle over 8

@@ -31,6 +31,12 @@ func sizeMode(tbl *ModeTable) ModeID {
 	return tbl.Set(SymSetOf(SymOpOf("size"))).Mode()
 }
 
+// slowAcquire drives mode m straight into its mechanism's blocking slow
+// path, skipping the fast-path attempt Acquire makes first.
+func slowAcquire(s *Semantic, m ModeID) {
+	s.mechs[s.table.part[m]].slowAcquire(&s.table.masks[m], nil)
+}
+
 // TestMutualExclusionConflicting: two goroutines repeatedly acquiring
 // non-commuting modes must never be inside the critical section
 // together.
@@ -206,12 +212,11 @@ func TestTryAcquire(t *testing.T) {
 	s.Release(sm)
 }
 
-// TestNoFastPathStillCorrect runs the exclusion test with the fast path
-// disabled (ablation A4).
+// TestNoFastPathStillCorrect runs the exclusion test with every
+// acquisition going through the internal lock's slow path.
 func TestNoFastPathStillCorrect(t *testing.T) {
 	tbl := mapTable(t, 1, TableOptions{})
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
 	km, sm := keyMode(tbl, 7), sizeMode(tbl)
 	var inside, violations atomic.Int32
 	var wg sync.WaitGroup
@@ -220,7 +225,7 @@ func TestNoFastPathStillCorrect(t *testing.T) {
 		go func(m ModeID) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.Acquire(m)
+				slowAcquire(s, m)
 				if inside.Add(1) != 1 {
 					violations.Add(1)
 				}
@@ -231,7 +236,10 @@ func TestNoFastPathStillCorrect(t *testing.T) {
 	}
 	wg.Wait()
 	if violations.Load() != 0 {
-		t.Errorf("%d violations with fast path disabled", violations.Load())
+		t.Errorf("%d violations on the slow path", violations.Load())
+	}
+	if st := s.Stats(); st.FastPath != 0 || st.Slow != 2000 {
+		t.Errorf("stats = %+v, want 2000 slow-path acquisitions", st)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 
 // Tests specific to lock mechanism v2: the padded-counter layout, the
 // summary-based conflict scan, the targeted-wakeup waiter registry, and
-// the adaptive fast-path bound — plus parity runs of the exclusion
-// tests against the v1 mechanism (ablation A5).
+// the adaptive fast-path bound.
 
 // TestMechV2CounterLayout asserts the property padding exists for: each
 // mode counter occupies its own cache line.
@@ -261,92 +260,67 @@ func TestAdaptiveSpinBounds(t *testing.T) {
 	}
 }
 
-// TestMechV1MutualExclusion re-runs the conflicting-mode exclusion test
-// against the v1 mechanism (ablation A5), which must stay correct.
-func TestMechV1MutualExclusion(t *testing.T) {
-	tbl := mapTable(t, 1, TableOptions{})
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	km, sm := keyMode(tbl, 7), sizeMode(tbl)
-	var inside, violations atomic.Int32
-	var wg sync.WaitGroup
-	for _, m := range []ModeID{km, sm} {
-		wg.Add(1)
-		go func(m ModeID) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				s.Acquire(m)
-				if inside.Add(1) != 1 {
-					violations.Add(1)
-				}
-				inside.Add(-1)
-				s.Release(m)
-			}
-		}(m)
-	}
-	wg.Wait()
-	if v := violations.Load(); v != 0 {
-		t.Errorf("%d mutual-exclusion violations under DisableMechV2", v)
-	}
-	if st := s.Stats(); st.FastPath+st.Slow == 0 {
-		t.Error("v1 mechanism recorded no acquisitions")
+// TestSemanticHeaderOffCounterLines: the read-only fields every
+// acquisition reads must start at least a cache line past the last
+// padded counter's value, so no counter write (optHits is written by
+// every optimistic hit) dirties their line.
+func TestSemanticHeaderOffCounterLines(t *testing.T) {
+	var s Semantic
+	if unsafe.Offsetof(s.table) < unsafe.Offsetof(s.optParams)+padded.CacheLineSize {
+		t.Fatalf("Semantic.table at offset %d shares a cache line with the padded counters (optParams at %d)",
+			unsafe.Offsetof(s.table), unsafe.Offsetof(s.optParams))
 	}
 }
 
-// TestMechV1Wakeup: blocking and wakeup through the v1 broadcast path.
-func TestMechV1Wakeup(t *testing.T) {
-	tbl := mapTable(t, 1, TableOptions{})
+// TestSlowAcquireBatchExcludes: a batch driven straight into the slow
+// path (one waiter for the whole batch) still excludes a conflicting
+// slow-path acquirer, and counts once per batch without touching the
+// fast path.
+func TestSlowAcquireBatchExcludes(t *testing.T) {
+	tbl := mapTable(t, 4, TableOptions{})
 	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	km, sm := keyMode(tbl, 7), sizeMode(tbl)
-	s.Acquire(km)
-	acquired := make(chan struct{})
+	k1, k2, sm := keyMode(tbl, 1), keyMode(tbl, 2), sizeMode(tbl)
+	p := tbl.part[k1]
+	if tbl.part[k2] != p || tbl.part[sm] != p {
+		t.Fatal("key and size modes must share one mechanism")
+	}
+	var inside, violations atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		s.Acquire(sm)
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("conflicting acquire did not block")
-	case <-time.After(50 * time.Millisecond):
-	}
-	s.Release(km)
-	select {
-	case <-acquired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("v1 waiter never woke")
-	}
-	s.Release(sm)
-}
-
-// TestDisableFastPathV2: ablation A4 on top of v2 still excludes.
-func TestDisableFastPathV2(t *testing.T) {
-	tbl := mapTable(t, 1, TableOptions{})
-	s := NewSemantic(tbl)
-	s.DisableFastPath = true
-	km, sm := keyMode(tbl, 7), sizeMode(tbl)
-	var inside, violations atomic.Int32
-	var wg sync.WaitGroup
-	for _, m := range []ModeID{km, sm} {
-		wg.Add(1)
-		go func(m ModeID) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.Acquire(m)
-				if inside.Add(1) != 1 {
-					violations.Add(1)
-				}
-				inside.Add(-1)
-				s.Release(m)
+		defer wg.Done()
+		sc := new(batchScratch)
+		for i := 0; i < 1000; i++ {
+			sc.modes = append(sc.modes[:0], k1, k2)
+			s.mechs[p].slowAcquireBatch(sc.scan(tbl), nil)
+			if inside.Add(1) != 1 {
+				violations.Add(1)
 			}
-		}(m)
-	}
+			inside.Add(-1)
+			s.Release(k1)
+			s.Release(k2)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			slowAcquire(s, sm)
+			if inside.Add(1) != 1 {
+				violations.Add(1)
+			}
+			inside.Add(-1)
+			s.Release(sm)
+		}
+	}()
 	wg.Wait()
 	if violations.Load() != 0 {
-		t.Errorf("%d violations with fast path disabled on v2", violations.Load())
+		t.Errorf("%d violations between a slow-path batch and a slow-path wildcard", violations.Load())
 	}
-	if st := s.Stats(); st.FastPath != 0 {
-		t.Errorf("fast path used %d times despite DisableFastPath", st.FastPath)
+	if st := s.Stats(); st.FastPath != 0 || st.Slow != 2000 {
+		t.Errorf("stats = %+v, want 2000 slow-path acquisitions and no fast path", st)
+	}
+	if err := s.CheckQuiesced(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -105,8 +105,8 @@ func mix(z uint64) uint64 {
 // FixedPhi is a φ for tests: explicit assignments with a default bucket.
 // It makes examples like Fig 19 ("φ(5) = α1") directly expressible.
 type FixedPhi struct {
-	n       int
-	assign  map[Value]int
+	n         int
+	assign    map[Value]int
 	defaultTo int
 }
 

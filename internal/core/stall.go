@@ -91,24 +91,17 @@ func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, cancel <-chan
 	if p < 0 {
 		return nil
 	}
-	start := time.Now()
-	if s.DisableMechV2 {
-		holders, out := s.v1[p].acquireWithin(s.table.localIdx[m], s.table.conflict[m], patience, cancel)
-		switch out {
-		case acqOK:
-			return nil
-		case acqCanceled:
-			return ErrCanceled
-		}
-		s.v1[p].stalls.Add(1)
-		return s.stallError(m, p, holders, time.Since(start), log)
-	}
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if !s.DisableFastPath && mech.tryAcquire(c) {
+	if mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
 		return nil
 	}
+	// The clock is read only once the fast path has failed: an
+	// uncontended bounded acquisition pays no vDSO call. Patience is
+	// armed inside mech.acquireWithin, after this instant, so Waited
+	// still covers the whole wait.
+	start := time.Now()
 	holders, out := mech.acquireWithin(c, patience, cancel, log)
 	switch out {
 	case acqOK:
@@ -239,17 +232,14 @@ func (t *ModeTable) modeNameOfSlot(p, slot int) string {
 // ---------------------------------------------------------------------
 
 // OutstandingHolds returns the total holder count currently recorded
-// across the instance's mechanisms (both generations). Zero on a
-// quiescent instance; a persistent nonzero value after all transactions
-// have drained means locks leaked.
+// across the instance's mechanisms. Zero on a quiescent instance; a
+// persistent nonzero value after all transactions have drained means
+// locks leaked.
 func (s *Semantic) OutstandingHolds() int64 {
 	var n int64
 	for i := range s.mechs {
 		for j := range s.mechs[i].counts {
 			n += int64(s.mechs[i].counts[j].Load())
-		}
-		for j := range s.v1[i].counts {
-			n += int64(s.v1[i].counts[j].Load())
 		}
 	}
 	return n
@@ -282,15 +272,6 @@ func (s *Semantic) CheckQuiesced() error {
 		for j := range m.waitMask {
 			if bits := m.waitMask[j].Load(); bits != 0 {
 				return fmt.Errorf("core: instance %d mech %d word %d: waitMask %#x, want 0", s.id, p, j, bits)
-			}
-		}
-		v1 := &s.v1[p]
-		if w := v1.waiters.Load(); w != 0 {
-			return fmt.Errorf("core: instance %d v1 mech %d: %d waiter(s) still registered", s.id, p, w)
-		}
-		for j := range v1.counts {
-			if c := v1.counts[j].Load(); c != 0 {
-				return fmt.Errorf("core: instance %d v1 mech %d slot %d: count %d, want 0", s.id, p, j, c)
 			}
 		}
 	}

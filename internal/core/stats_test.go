@@ -46,19 +46,23 @@ func TestStatsBlocked(t *testing.T) {
 	s.Release(sm)
 }
 
-// TestStatsNoFastPath: with the fast path disabled (A4) every
-// acquisition is slow-path.
+// TestStatsNoFastPath: acquisitions driven through the slow path are
+// counted as slow-path, and an uncontended slow-path cycle allocates
+// nothing (the waiter comes from the free-list).
 func TestStatsNoFastPath(t *testing.T) {
 	tbl := mapTable(t, 4, TableOptions{})
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
 	for i := 0; i < 50; i++ {
 		m := keyMode(tbl, i)
-		s.Acquire(m)
+		slowAcquire(s, m)
 		s.Release(m)
 	}
 	st := s.Stats()
 	if st.FastPath != 0 || st.Slow != 50 {
 		t.Errorf("stats = %+v, want 50 slow-path acquisitions", st)
+	}
+	m := keyMode(tbl, 7)
+	if n := testing.AllocsPerRun(100, func() { slowAcquire(s, m); s.Release(m) }); n != 0 {
+		t.Errorf("slow-path acquire/release allocates %v per cycle, want 0", n)
 	}
 }

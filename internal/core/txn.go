@@ -387,9 +387,8 @@ func (t *Txn) LockOrdered(rank int, m ModeID, ss ...*Semantic) {
 // validation. Mirroring Lock's LV semantics, a nil instance and a
 // re-observation of an already-observed instance are no-ops. Observe
 // reports whether the observation is admissible; false — a conflicting
-// holder is visible, the instance's adaptive gate currently refuses
-// optimistic execution, or the instance runs the version-less v1
-// mechanism (DisableMechV2) — means the body should give up and let
+// holder is visible, or the instance's adaptive gate currently refuses
+// optimistic execution — means the body should give up and let
 // TryOptimistic fail over to the pessimistic prologue.
 func (t *Txn) Observe(s *Semantic, m ModeID, rank int) bool {
 	if !t.optActive {

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adtspecs"
 	"repro/internal/core"
@@ -83,19 +84,41 @@ func TestOptimisticInterpCommits(t *testing.T) {
 	}
 }
 
-// TestOptimisticInterpFallsBack: with the v1 lock mechanism (no version
-// counters) observation always refuses, so the interpreter runs the
-// pessimistic fallback — same answer, refusal counted, no hit.
+// TestOptimisticInterpFallsBack: an update section holds its write mode
+// (parked in its op hook) when the lookup starts, so the lookup's
+// observation sees a conflicting holder and refuses. The interpreter
+// then runs the pessimistic fallback, which blocks until the holder is
+// released once the refusal is counted — same answer, refusal counted,
+// no hit.
 func TestOptimisticInterpFallsBack(t *testing.T) {
 	e := buildOccExec(t)
 	m := e.NewInstance("Map", "Map")
-	m.Sem.DisableMechV2 = true
 
 	if err := e.Run(1, map[string]core.Value{"m": m, "k": 7, "x": 11}); err != nil {
 		t.Fatal(err)
 	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		writerDone <- e.RunWithHook(1, map[string]core.Value{"m": m, "k": 7, "x": 11}, func(uint64, core.Op, core.Value) {
+			close(held)
+			<-release
+		})
+	}()
+	<-held
+	go func() {
+		for m.Sem.Stats().OptimisticRefusals == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+	}()
+
 	env := map[string]core.Value{"m": m, "k": 7, "v": nil}
 	if err := e.Run(0, env); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
 	if env["v"] != 11 {
@@ -103,13 +126,13 @@ func TestOptimisticInterpFallsBack(t *testing.T) {
 	}
 	st := m.Sem.Stats()
 	if st.OptimisticHits != 0 {
-		t.Errorf("OptimisticHits = %d under the v1 mechanism", st.OptimisticHits)
+		t.Errorf("OptimisticHits = %d with a conflicting holder at Observe", st.OptimisticHits)
 	}
 	if st.OptimisticRefusals == 0 {
 		t.Errorf("OptimisticRefusals = 0; the refused observation should count")
 	}
 	if st.OptimisticRetries != 0 {
-		t.Errorf("OptimisticRetries = %d; a version-less refusal runs no body, so nothing is retried", st.OptimisticRetries)
+		t.Errorf("OptimisticRetries = %d; a refusal runs no body, so nothing is retried", st.OptimisticRetries)
 	}
 }
 
